@@ -18,8 +18,10 @@
 //! boundary, under a single dictionary read lock.
 //!
 //! Frames wider than 64 variables would overflow the domain bitmask;
-//! the evaluation engine falls back to the term-level path before ever
-//! building one (see `WIDTH_LIMIT`).
+//! [`VarFrame::new`] refuses them (see [`WIDTH_LIMIT`]) and the
+//! evaluation engine reports the refusal as a typed error. A ground
+//! pattern has a zero-width frame: its tables hold at most one row, the
+//! empty mapping `µ∅`.
 
 use crate::mapping::Mapping;
 use crate::mapping_set::MappingSet;
@@ -136,6 +138,12 @@ fn rows_compatible(a: &[TermId], b: &[TermId]) -> bool {
 /// A set of columnar solution rows over one [`VarFrame`] (the id twin
 /// of [`MappingSet`]). Row-major dense storage; set semantics are
 /// restored by [`IdMappingSet::sort_dedup`] after every bulk operation.
+///
+/// Rows are stored `width.max(1)` words apart: a zero-width table (a
+/// ground pattern's) stores each row as one unbound padding word, so
+/// row counting, slicing, and every operator work unchanged, and a
+/// padding word is never read as a binding. [`IdMappingSet::row`] and
+/// [`IdMappingSet::rows`] hand out these stored rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdMappingSet {
     width: usize,
@@ -143,22 +151,39 @@ pub struct IdMappingSet {
 }
 
 impl IdMappingSet {
-    /// An empty set of `width`-column rows (`width >= 1`; zero-variable
-    /// patterns stay on the term-level path).
+    /// An empty set of `width`-column rows.
     pub fn new(width: usize) -> IdMappingSet {
-        assert!(width >= 1, "columnar tables need at least one column");
         IdMappingSet {
             width,
             data: Vec::new(),
         }
     }
 
-    /// Wraps an already-laid-out column buffer (row-major,
-    /// `width`-strided) without copying.
+    /// `{µ∅}`: the one row that binds nothing — the identity of join.
+    pub fn unit(width: usize) -> IdMappingSet {
+        IdMappingSet {
+            width,
+            data: vec![NO_TERM; width.max(1)],
+        }
+    }
+
+    /// Wraps an already-laid-out buffer of stored rows (row-major,
+    /// `width.max(1)`-strided) without copying.
     pub fn from_raw(width: usize, data: Vec<TermId>) -> IdMappingSet {
-        assert!(width >= 1, "columnar tables need at least one column");
-        assert_eq!(data.len() % width, 0, "buffer must hold whole rows");
+        assert_eq!(data.len() % width.max(1), 0, "buffer must hold whole rows");
         IdMappingSet { width, data }
+    }
+
+    /// `Ω₁ ∪ ⋯ ∪ Ωₙ`: concatenates every part and restores set
+    /// semantics with one sort.
+    pub fn union_of(width: usize, parts: impl IntoIterator<Item = IdMappingSet>) -> IdMappingSet {
+        let mut out = IdMappingSet::new(width);
+        for part in parts {
+            debug_assert_eq!(part.width, width);
+            out.data.extend_from_slice(&part.data);
+        }
+        out.sort_dedup();
+        out
     }
 
     /// Number of columns per row.
@@ -166,9 +191,14 @@ impl IdMappingSet {
         self.width
     }
 
+    /// Words per stored row (one padding word at width zero).
+    fn stride(&self) -> usize {
+        self.width.max(1)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.data.len() / self.width
+        self.data.len() / self.stride()
     }
 
     /// `true` iff there are no rows.
@@ -179,23 +209,24 @@ impl IdMappingSet {
     /// Appends a row (caller re-establishes set semantics with
     /// [`IdMappingSet::sort_dedup`] when done).
     pub fn push_row(&mut self, row: &[TermId]) {
-        debug_assert_eq!(row.len(), self.width);
+        debug_assert_eq!(row.len(), self.stride());
         self.data.extend_from_slice(row);
     }
 
     /// The `i`-th row.
     pub fn row(&self, i: usize) -> &[TermId] {
-        &self.data[i * self.width..(i + 1) * self.width]
+        let w = self.stride();
+        &self.data[i * w..(i + 1) * w]
     }
 
     /// Iterates the rows in storage order.
     pub fn rows(&self) -> impl Iterator<Item = &[TermId]> {
-        self.data.chunks_exact(self.width)
+        self.data.chunks_exact(self.stride())
     }
 
     /// Keeps only rows satisfying `keep`.
     pub fn retain(&mut self, mut keep: impl FnMut(&[TermId]) -> bool) {
-        let w = self.width;
+        let w = self.stride();
         let mut write = 0;
         for read in 0..self.len() {
             if keep(&self.data[read * w..(read + 1) * w]) {
@@ -211,7 +242,7 @@ impl IdMappingSet {
     /// Sorts rows lexicographically and removes duplicates, restoring
     /// set semantics after a bulk append/join.
     pub fn sort_dedup(&mut self) {
-        let w = self.width;
+        let w = self.stride();
         let n = self.len();
         if n <= 1 {
             return;
@@ -241,7 +272,7 @@ impl IdMappingSet {
             (other, self)
         };
         let mut out = IdMappingSet::new(self.width);
-        let mut merged = vec![NO_TERM; self.width];
+        let mut merged = vec![NO_TERM; self.stride()];
         for a in outer.rows() {
             for b in inner.rows() {
                 if rows_compatible(a, b) {
@@ -281,21 +312,12 @@ impl IdMappingSet {
         out
     }
 
-    /// `Ω₁ ∪ Ω₂` (set union).
-    pub fn union(&self, other: &IdMappingSet) -> IdMappingSet {
-        debug_assert_eq!(self.width, other.width);
-        let mut out = self.clone();
-        out.data.extend_from_slice(&other.data);
-        out.sort_dedup();
-        out
-    }
-
     /// `SELECT`: restrict every row to the columns in `keep` (a
     /// per-column mask), then re-deduplicate.
     pub fn project(&self, keep: &[bool]) -> IdMappingSet {
         debug_assert_eq!(keep.len(), self.width);
         let mut out = self.clone();
-        for row in out.data.chunks_exact_mut(self.width) {
+        for row in out.data.chunks_exact_mut(self.stride()) {
             for (slot, &k) in row.iter_mut().zip(keep) {
                 if !k {
                     *slot = NO_TERM;
@@ -314,7 +336,6 @@ impl IdMappingSet {
     /// distinct domains fit `GROUPED_DOMAIN_LIMIT`, pairwise scan
     /// beyond; pass a pool to fan the per-domain shadow builds out.
     pub fn maximal(&self, pool: Option<&Pool>) -> IdMappingSet {
-        let w = self.width;
         let mut by_dom: HashMap<u64, Vec<usize>> = HashMap::new();
         for i in 0..self.len() {
             by_dom.entry(domain_mask(self.row(i))).or_default().push(i);
@@ -348,7 +369,7 @@ impl IdMappingSet {
             Some(pool) => pool.map(&doms, shadow_of),
             None => doms.iter().map(shadow_of).collect(),
         };
-        let mut out = IdMappingSet::new(w);
+        let mut out = IdMappingSet::new(self.width);
         for (d, shadow) in doms.iter().zip(&shadows) {
             for &i in &by_dom[d] {
                 if !shadow.contains(self.row(i)) {
@@ -390,7 +411,8 @@ impl IdMappingSet {
         // Frame columns are sorted by variable, so visiting a row in
         // column order yields bindings already in `Mapping`'s sorted
         // order: one exact-size allocation per mapping, no per-pair
-        // binary-search inserts.
+        // binary-search inserts. (A padding word is unbound, so it is
+        // skipped like any unbound column.)
         let decoded: Vec<Mapping> = dict.with_terms(|terms| {
             self.rows()
                 .map(|row| {
@@ -515,5 +537,42 @@ mod tests {
         let partial = Mapping::from_pairs([(Variable::new("x"), Iri::new("a"))]);
         assert!(decoded.contains(&full));
         assert!(decoded.contains(&partial));
+    }
+
+    /// A ground pattern's tables: zero columns, at most one row (`µ∅`),
+    /// and every operator behaves as on `{µ∅}` and `∅`.
+    #[test]
+    fn zero_width_tables_hold_at_most_the_empty_mapping() {
+        let unit = IdMappingSet::unit(0);
+        let empty = IdMappingSet::new(0);
+        assert_eq!((unit.len(), empty.len()), (1, 0));
+        assert_eq!(unit.join(&unit), unit);
+        assert!(unit.join(&empty).is_empty());
+        assert!(unit.difference(&unit).is_empty());
+        assert_eq!(unit.difference(&empty), unit);
+        assert_eq!(unit.left_outer_join(&empty), unit);
+        assert_eq!(
+            IdMappingSet::union_of(0, [unit.clone(), unit.clone()]),
+            unit
+        );
+        assert_eq!(unit.project(&[]), unit);
+        assert_eq!(unit.maximal(None), unit);
+        let decoded = unit.decode(&VarFrame::new([]).unwrap(), &TermDict::new());
+        assert_eq!(decoded, MappingSet::unit());
+        assert!(empty.decode(&frame(&[]), &TermDict::new()).is_empty());
+    }
+
+    #[test]
+    fn union_of_sorts_once_and_dedups() {
+        let mut a = IdMappingSet::new(2);
+        a.push_row(&[3, 0]);
+        a.push_row(&[1, 2]);
+        let mut b = IdMappingSet::new(2);
+        b.push_row(&[1, 2]);
+        let u = IdMappingSet::union_of(2, [a, b, IdMappingSet::new(2)]);
+        assert_eq!(u.len(), 2);
+        assert_eq!(u.row(0), &[1, 2]);
+        assert_eq!(u.row(1), &[3, 0]);
+        assert!(IdMappingSet::union_of(2, []).is_empty());
     }
 }

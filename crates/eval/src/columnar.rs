@@ -1,49 +1,49 @@
-//! The columnar, dictionary-encoded evaluation path.
+//! The columnar, dictionary-encoded evaluator behind [`crate::Engine::run`].
 //!
-//! When the lookup backend serves an [`IdView`] (a term dictionary plus
-//! id-encoded SPO/POS/OSP sorted runs — `GraphIndex` always does, a
-//! store `SnapshotIndex` does whenever base and delta share the store
-//! dictionary), [`try_run`] evaluates the whole pattern over
-//! [`IdMappingSet`] tables: binary-searched run scans, id-merge
-//! AND-spine joins, word-compare compatibility for `OPT`/`MINUS`, and
-//! bitmask-grouped NS maximality. Terms are decoded exactly once, at
-//! the result boundary.
+//! [`run`] evaluates the whole pattern over [`IdMappingSet`] tables keyed
+//! by one [`VarFrame`]: binary-searched scans of an [`IdView`]'s sorted
+//! id runs, row-extension AND-spine joins, word-compare compatibility for
+//! `OPT`/`MINUS`, a flattened UNION sorted once, and bitmask-grouped NS
+//! maximality. Terms are decoded exactly once, at the result boundary.
 //!
-//! Answer-set equality with the term-at-a-time engine is the contract:
-//! every operator here mirrors the corresponding `MappingSet`
-//! operation, and the differential suites (`#[cfg(test)]` below and
-//! `tests/integration_columnar.rs`) hold the two paths to identical
-//! results over randomized NS-SPARQL patterns and live-churn stores.
+//! Every operator mirrors the paper's mapping-set operation, and the
+//! differential suites (`tests/integration_columnar.rs` and friends)
+//! hold the results to the reference evaluator over randomized
+//! NS-SPARQL patterns and live-churn stores at widths 1, 2 and 8.
 //!
-//! [`try_run`] returns `None` — "stay on the reference path" — when the
-//! backend has no id view, when the pattern binds no variables, or when
-//! its variable frame exceeds the 64-column domain-bitmask limit.
+//! The evaluator is total up to one limit: a pattern over more than
+//! [`WIDTH_LIMIT`] variables does not fit the 64-bit domain masks and is
+//! refused with [`EvalError::TooManyVariables`]. A ground pattern
+//! evaluates over a zero-width frame, whose tables hold at most the
+//! empty mapping.
 //!
 //! **Native tracing.** The evaluator carries an [`owql_obs::Recorder`]
 //! seam: every operator records one span (kind, label, observed
 //! input/output rows), every spine step records a `SCAN` span whose
-//! `estimated_rows` is seeded from the constant-only [`IdView`] run
-//! cardinality (the same statistic the greedy join order uses — the
-//! estimated-vs-observed feed for the future cost-based planner), and
-//! the event counters — galloping-scan hint hits/misses, dict decode
-//! rows, `Repr::Distinct` results, homogeneous-domain dedup skips —
-//! flow through the recorder's columnar atomics. A *disabled* recorder
-//! short-circuits before any label formatting or clock read, so the
-//! untraced hot path pays only a predictable branch per operator: the
-//! `ExecOpts { trace: true, columnar: true }` combination runs *this*
-//! engine, never a silent fallback.
+//! `estimated_rows` is [`scan_estimate`] — the constant-only run
+//! cardinality that orders the greedy join and that the static
+//! EXPLAIN ([`crate::plan`]) prints — and the event counters
+//! (galloping-scan hint hits/misses, dict decode rows, homogeneous-domain
+//! dedup skips) flow through the recorder's columnar atomics. A
+//! *disabled* recorder short-circuits before any label formatting or
+//! clock read, so the untraced hot path pays only a predictable branch
+//! per operator.
 
-use crate::engine::{
-    op_kind, project_label, spine_label, spine_parts, Engine, MIN_BINDINGS_PER_CHUNK,
-};
+use crate::engine::{op_kind, project_label, spine_label, spine_parts};
 use crate::run::{EvalBudget, EvalError, BUDGET_CHECK_STRIDE};
 use owql_algebra::analysis::pattern_vars;
-use owql_algebra::id_mapping::{IdMappingSet, VarFrame};
+use owql_algebra::id_mapping::{IdMappingSet, VarFrame, WIDTH_LIMIT};
 use owql_algebra::normal_form::union_spine;
-use owql_algebra::{Condition, Pattern, TermPattern, TriplePattern};
+use owql_algebra::{Condition, MappingSet, Pattern, TermPattern, TriplePattern};
 use owql_exec::{chunk_ranges, Pool};
 use owql_obs::{OpKind, Recorder, SpanId};
-use owql_rdf::{FxHashSet, IdView, TermId, TripleLookup, NO_TERM};
+use owql_rdf::{FxHashSet, IdView, TermId, NO_TERM};
+
+/// Minimum candidate rows per dealt chunk of a parallel spine step:
+/// below it, dealing and per-chunk bookkeeping cost more than the
+/// extension they parallelize, so a step splits only once it has at
+/// least two full chunks.
+const MIN_BINDINGS_PER_CHUNK: usize = 4096;
 
 /// One triple-pattern position, id-compiled against the frame and
 /// dictionary.
@@ -76,6 +76,33 @@ impl IdTriple {
             _ => m,
         })
     }
+
+    /// The constant-only scan key: the ids of the constants, `None` at
+    /// variable positions.
+    fn const_key(&self) -> [Option<TermId>; 3] {
+        self.pos.map(|p| match p {
+            IdPos::Const(id) => Some(id),
+            _ => None,
+        })
+    }
+}
+
+/// The planner-side row estimate of one triple pattern: the run
+/// cardinality of its constant-only key (an upper bound under
+/// deletions; 0 when a constant was never interned). It orders the
+/// greedy spine join, labels the `SCAN` spans of traced runs, and is
+/// what the static EXPLAIN prints — one estimator for both.
+pub(crate) fn scan_estimate(view: &IdView<'_>, t: TriplePattern) -> usize {
+    let mut key = [None; 3];
+    for (slot, tp) in key.iter_mut().zip([t.s, t.p, t.o]) {
+        if let Some(iri) = tp.as_iri() {
+            match view.dict.lookup(iri) {
+                Some(id) => *slot = Some(id),
+                None => return 0,
+            }
+        }
+    }
+    view.cardinality_upper(key[0], key[1], key[2])
 }
 
 /// A [`Condition`] compiled onto frame columns and term ids.
@@ -121,45 +148,59 @@ pub(crate) struct Columnar<'a> {
     pub(crate) rec: &'a Recorder,
 }
 
-/// Attempts the columnar path for `pattern` over `engine`'s backend.
-/// `None` means "not servable — use the term-at-a-time engine".
-pub(crate) fn try_run<I: TripleLookup + Sync>(
-    engine: &Engine<I>,
+/// The frame of every table `pattern`'s evaluation builds, or
+/// [`EvalError::TooManyVariables`] past [`WIDTH_LIMIT`].
+pub(crate) fn frame_for(pattern: &Pattern) -> Result<VarFrame, EvalError> {
+    let vars = pattern_vars(pattern);
+    let count = vars.len();
+    VarFrame::new(vars).ok_or(EvalError::TooManyVariables {
+        vars: count,
+        limit: WIDTH_LIMIT,
+    })
+}
+
+/// Evaluates `⟦pattern⟧` over `view` and decodes the answers.
+pub(crate) fn run(
+    view: IdView<'_>,
     pattern: &Pattern,
     parallel: bool,
     pool: &Pool,
     rec: &Recorder,
     budget: &EvalBudget,
-) -> Option<Result<owql_algebra::MappingSet, EvalError>> {
-    let view = engine.index().id_view()?;
-    let vars = pattern_vars(pattern);
-    if vars.is_empty() {
-        // Fully ground patterns produce zero-width tables; the
-        // reference path handles them directly.
-        return None;
-    }
-    let frame = VarFrame::new(vars)?;
+) -> Result<MappingSet, EvalError> {
     let ctx = Columnar {
         dels: view.del_rows(),
         view,
-        frame,
+        frame: frame_for(pattern)?,
         pool,
         parallel,
         rec,
     };
-    Some(ctx.eval(pattern, SpanId::ROOT, budget).map(|table| {
-        let rows = table.len() as u64;
-        // `decode` emits provably distinct rows, so the resulting
-        // `MappingSet` keeps the `Repr::Distinct` fast path and never
-        // builds a hash set.
-        rec.record_columnar_decode(rows, true);
-        table.decode(&ctx.frame, ctx.view.dict)
-    }))
+    let table = ctx.eval(pattern, SpanId::ROOT, budget)?;
+    Ok(ctx.decode(&table))
 }
 
 impl Columnar<'_> {
     pub(crate) fn width(&self) -> usize {
         self.frame.width()
+    }
+
+    /// The result boundary: `table`'s rows as term-level mappings.
+    /// `decode` emits provably distinct rows, so the `MappingSet` keeps
+    /// its `Repr::Distinct` fast path and never builds a hash set.
+    pub(crate) fn decode(&self, table: &IdMappingSet) -> MappingSet {
+        self.rec.record_columnar_decode(table.len() as u64, true);
+        table.decode(&self.frame, self.view.dict)
+    }
+
+    /// The `SELECT` column mask: which frame columns `vars` keeps.
+    pub(crate) fn keep_mask(
+        &self,
+        vars: &std::collections::BTreeSet<owql_algebra::Variable>,
+    ) -> Vec<bool> {
+        (0..self.width())
+            .map(|c| vars.contains(&self.frame.var(c)))
+            .collect()
     }
 
     pub(crate) fn compile_triple(&self, t: TriplePattern) -> IdTriple {
@@ -228,31 +269,26 @@ impl Columnar<'_> {
                 let right = self.eval(b, id, budget)?;
                 (Some(left.len() as u64), left.left_outer_join(&right))
             }
-            Pattern::Union(..) if self.parallel => {
+            Pattern::Union(..) => {
+                // One algorithm at every width: flatten the UNION spine,
+                // evaluate the disjuncts (concurrently when parallel),
+                // then concatenate and sort once.
                 let disjuncts = union_spine(pattern);
-                let parts = self
-                    .pool
-                    .map_profiled(&disjuncts, rec, |d| self.eval(d, id, budget));
-                let mut out = IdMappingSet::new(self.width());
-                for part in parts {
-                    let part = part?;
-                    for row in part.rows() {
-                        out.push_row(row);
-                    }
-                }
-                out.sort_dedup();
-                (None, out)
-            }
-            Pattern::Union(a, b) => {
-                let left = self.eval(a, id, budget)?;
-                (None, left.union(&self.eval(b, id, budget)?))
+                let eval = |d: &&Pattern| self.eval(d, id, budget);
+                let parts: Vec<_> = if self.parallel {
+                    self.pool.map_profiled(&disjuncts, rec, eval)
+                } else {
+                    disjuncts.iter().map(eval).collect()
+                };
+                let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+                (None, IdMappingSet::union_of(self.width(), parts))
             }
             Pattern::Select(vars, p) => {
-                let keep: Vec<bool> = (0..self.width())
-                    .map(|c| vars.contains(&self.frame.var(c)))
-                    .collect();
                 let inner = self.eval(p, id, budget)?;
-                (Some(inner.len() as u64), inner.project(&keep))
+                (
+                    Some(inner.len() as u64),
+                    inner.project(&self.keep_mask(vars)),
+                )
             }
             Pattern::Filter(p, r) => {
                 let cond = self.compile_cond(r);
@@ -299,13 +335,12 @@ impl Columnar<'_> {
                 let (triples, others) = spine_parts(pattern);
                 format!("columnar {}", spine_label(triples.len(), others.len()))
             }
-            Pattern::Union(..) if self.parallel => {
+            Pattern::Union(..) => {
                 format!(
                     "union of {} disjuncts (columnar)",
                     union_spine(pattern).len()
                 )
             }
-            Pattern::Union(..) => "union (columnar)".to_owned(),
             Pattern::Opt(..) => "left outer join (columnar)".to_owned(),
             Pattern::Minus(..) => "difference (columnar)".to_owned(),
             Pattern::Select(vars, _) => format!("{} (columnar)", project_label(vars)),
@@ -343,9 +378,7 @@ impl Columnar<'_> {
             .map(|p| self.eval(p, span, budget))
             .collect::<Result<_, _>>()?;
         let mut current = if sub.is_empty() {
-            let mut seed = IdMappingSet::new(w);
-            seed.push_row(&vec![NO_TERM; w]);
-            seed
+            IdMappingSet::unit(w)
         } else {
             sub.sort_by_key(IdMappingSet::len);
             let mut acc = sub.remove(0);
@@ -356,8 +389,7 @@ impl Columnar<'_> {
         };
         let seeded = Some(current.len() as u64);
         // The ordering heuristic's bound set: columns bound in the
-        // first seed row (mirrors the term engine's choice, which uses
-        // the first mapping's domain).
+        // first seed row.
         let mut bound_mask = if current.is_empty() {
             0
         } else {
@@ -396,7 +428,7 @@ impl Columnar<'_> {
                     &format!("{tp} via {} (columnar)", crate::plan::access_path(tp)),
                     Some(rows_in),
                     current.len() as u64,
-                    Some(self.scan_estimate(t)),
+                    Some(self.estimate(t) as u64),
                     &timer,
                 );
             }
@@ -405,17 +437,12 @@ impl Columnar<'_> {
         Ok((seeded, current))
     }
 
-    /// The planner-side output estimate for one scan step: the
-    /// constant-only run cardinality upper bound — the same `IdRuns`
-    /// statistic [`Columnar::pick_next`] orders the join by, reported
-    /// per span so EXPLAIN ANALYZE shows estimated vs observed rows.
-    fn scan_estimate(&self, t: IdTriple) -> u64 {
-        let key_of = |p: IdPos| match p {
-            IdPos::Const(id) => Some(id),
-            _ => None,
-        };
-        self.view
-            .cardinality_upper(key_of(t.pos[0]), key_of(t.pos[1]), key_of(t.pos[2])) as u64
+    /// The planner-side output estimate of one compiled scan step —
+    /// [`scan_estimate`] over ids already looked up (a compiled triple
+    /// reaching a scan has no never-interned constant).
+    fn estimate(&self, t: IdTriple) -> usize {
+        let [s, p, o] = t.const_key();
+        self.view.cardinality_upper(s, p, o)
     }
 
     /// Greedy choice: fewest variable columns not yet bound, breaking
@@ -430,14 +457,7 @@ impl Columnar<'_> {
         let mut best_key = (usize::MAX, usize::MAX);
         for (i, (t, _)) in triples.iter().enumerate() {
             let unbound = (t.var_mask() & !bound_mask).count_ones() as usize;
-            let key_of = |p: IdPos| match p {
-                IdPos::Const(id) => Some(id),
-                _ => None,
-            };
-            let card =
-                self.view
-                    .cardinality_upper(key_of(t.pos[0]), key_of(t.pos[1]), key_of(t.pos[2]));
-            let key = (unbound, card);
+            let key = (unbound, self.estimate(*t));
             if key < best_key {
                 best_key = key;
                 best = i;
@@ -448,8 +468,8 @@ impl Columnar<'_> {
 
     /// One spine step: extend every row of `current` with every run
     /// match of `t` under that row's bindings. Parallel mode chunks the
-    /// row range across the pool once it clears the same
-    /// candidates-per-chunk threshold as the term engine.
+    /// row range across the pool once it holds two full
+    /// [`MIN_BINDINGS_PER_CHUNK`] chunks.
     pub(crate) fn extend(
         &self,
         current: &IdMappingSet,

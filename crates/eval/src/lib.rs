@@ -10,13 +10,13 @@
 //!   (Sections 2.1, 5.1). Triple patterns scan the whole graph; every
 //!   operator calls the corresponding [`owql_algebra::MappingSet`]
 //!   operation. It is deliberately unoptimized: it *is* the spec.
-//! * [`engine::Engine`] — the indexed engine: triple patterns are
-//!   answered through SPO/POS/OSP indexes, `AND`-spines are evaluated
-//!   with greedy selectivity-ordered index nested-loop joins, and
-//!   bindings propagate into later triple patterns. Its results are
-//!   cross-validated against the reference evaluator by a large
-//!   randomized test suite (and the `engine_ablation` benchmark measures
-//!   the gap).
+//! * [`engine::Engine`] — the columnar engine: terms are
+//!   dictionary-encoded, triple patterns are binary-searched ranges of
+//!   id-encoded SPO/POS/OSP runs, `AND`-spines extend dense id rows in
+//!   greedy selectivity order, and answers are decoded once at the end.
+//!   Its results are cross-validated against the reference evaluator by
+//!   randomized differential suites at every pool width (and the
+//!   `engine_ablation` benchmark measures the gap).
 //!
 //! CONSTRUCT evaluation (Section 6.1) lives in [`mod@construct`].
 //!
@@ -25,6 +25,8 @@
 //! span tracing (the outcome then carries an [`owql_obs::Profile`]),
 //! the static optimizer, and a cooperative deadline enforced by an
 //! [`EvalBudget`] (exceeded budgets surface as [`EvalError::Timeout`]).
+//! Patterns over more than 64 variables are refused with
+//! [`EvalError::TooManyVariables`].
 //! [`Engine::explain_analyze`] renders observed row counts and wall
 //! times as an [`plan::AnnotatedPlan`].
 
@@ -43,7 +45,6 @@ pub use optimize::{optimize, optimize_with_stats};
 pub use plan::{AnnotatedNode, AnnotatedPlan, Plan};
 pub use reference::evaluate;
 pub use run::{
-    check_admission, ColumnarPath, EvalBudget, EvalError, ExecMode, ExecOpts, ExecOptsBuilder,
-    RunOutcome,
+    check_admission, EvalBudget, EvalError, ExecMode, ExecOpts, ExecOptsBuilder, RunOutcome,
 };
-pub use sharded::try_run_sharded;
+pub use sharded::run_sharded;

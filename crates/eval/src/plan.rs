@@ -5,12 +5,16 @@
 //! greedy join order and per-step index access paths and cardinality
 //! estimates, and the operator tree above them. Purely informational —
 //! the engine re-derives the order at run time with live binding
-//! information — but estimates come from the same index, so the
-//! printed order matches the executed one on constant-only statistics.
+//! information — but every estimate is the engine's own
+//! (`columnar::scan_estimate`, the constant-only id-run cardinality), so
+//! a step's `estimated_rows` here equals the one on the matching `SCAN`
+//! span of EXPLAIN ANALYZE.
 
+use crate::columnar::scan_estimate;
+use crate::engine::spine_parts;
 use owql_algebra::pattern::{Pattern, TriplePattern};
 use owql_algebra::Variable;
-use owql_rdf::TripleLookup;
+use owql_rdf::IdView;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -23,7 +27,7 @@ pub enum Plan {
         pattern: TriplePattern,
         /// The index access path chosen when only constants are known.
         access_path: &'static str,
-        /// Constant-only cardinality estimate from the index.
+        /// Constant-only cardinality estimate from the id runs.
         estimated_rows: usize,
     },
     /// A flattened `AND`-spine: `steps` in execution order, then
@@ -155,53 +159,46 @@ pub(crate) fn access_path(t: TriplePattern) -> &'static str {
     }
 }
 
-/// Builds the plan for `pattern` against `index` — the logic mirrors
-/// the engine's spine flattening and greedy ordering. Works against any
-/// [`TripleLookup`] backend (a full [`owql_rdf::GraphIndex`] or a store
-/// snapshot's delta overlay).
-pub fn plan<I: TripleLookup>(pattern: &Pattern, index: &I) -> Plan {
+/// Builds the plan for `pattern` against `view` — the logic mirrors
+/// the engine's spine flattening and greedy ordering, over the same
+/// estimates.
+pub fn plan(pattern: &Pattern, view: &IdView<'_>) -> Plan {
     match pattern {
         Pattern::Triple(_) | Pattern::And(..) => {
-            let mut triples = Vec::new();
-            let mut others = Vec::new();
-            flatten(pattern, &mut triples, &mut others);
-            // Replay the greedy order statically.
+            let (triples, others) = spine_parts(pattern);
+            let mut triples: Vec<(TriplePattern, usize)> = triples
+                .into_iter()
+                .map(|t| (t, scan_estimate(view, t)))
+                .collect();
+            // Replay the greedy order statically: fewest unbound
+            // variables first, ties broken by the smaller estimate.
             let mut bound: BTreeSet<Variable> = BTreeSet::new();
             let mut steps = Vec::new();
             while !triples.is_empty() {
-                let mut best = 0;
-                let mut best_key = (usize::MAX, usize::MAX);
-                for (i, t) in triples.iter().enumerate() {
-                    let unbound = t.vars().iter().filter(|v| !bound.contains(v)).count();
-                    let card = index.cardinality(t.s.as_iri(), t.p.as_iri(), t.o.as_iri());
-                    if (unbound, card) < best_key {
-                        best_key = (unbound, card);
-                        best = i;
-                    }
-                }
-                let t = triples.swap_remove(best);
+                let unbound =
+                    |t: &TriplePattern| t.vars().iter().filter(|v| !bound.contains(v)).count();
+                let best = (0..triples.len())
+                    .min_by_key(|&i| (unbound(&triples[i].0), triples[i].1))
+                    .expect("non-empty");
+                let (t, estimated_rows) = triples.swap_remove(best);
                 bound.extend(t.vars());
                 steps.push(Plan::TripleScan {
                     pattern: t,
                     access_path: access_path(t),
-                    estimated_rows: index.cardinality(t.s.as_iri(), t.p.as_iri(), t.o.as_iri()),
+                    estimated_rows,
                 });
             }
-            let others = others.into_iter().map(|p| plan(p, index)).collect();
+            let others = others.into_iter().map(|p| plan(p, view)).collect();
             Plan::IndexJoin { steps, others }
         }
-        Pattern::Opt(a, b) => {
-            Plan::LeftOuterJoin(Box::new(plan(a, index)), Box::new(plan(b, index)))
-        }
-        Pattern::Union(a, b) => Plan::Union(Box::new(plan(a, index)), Box::new(plan(b, index))),
-        Pattern::Minus(a, b) => {
-            Plan::Difference(Box::new(plan(a, index)), Box::new(plan(b, index)))
-        }
-        Pattern::Filter(p, r) => Plan::Filter(Box::new(plan(p, index)), r.to_string()),
+        Pattern::Opt(a, b) => Plan::LeftOuterJoin(Box::new(plan(a, view)), Box::new(plan(b, view))),
+        Pattern::Union(a, b) => Plan::Union(Box::new(plan(a, view)), Box::new(plan(b, view))),
+        Pattern::Minus(a, b) => Plan::Difference(Box::new(plan(a, view)), Box::new(plan(b, view))),
+        Pattern::Filter(p, r) => Plan::Filter(Box::new(plan(p, view)), r.to_string()),
         Pattern::Select(v, p) => {
-            Plan::Project(Box::new(plan(p, index)), v.iter().copied().collect())
+            Plan::Project(Box::new(plan(p, view)), v.iter().copied().collect())
         }
-        Pattern::Ns(p) => Plan::MaximalAnswers(Box::new(plan(p, index))),
+        Pattern::Ns(p) => Plan::MaximalAnswers(Box::new(plan(p, view))),
     }
 }
 
@@ -321,17 +318,6 @@ pub fn annotate(spans: &[owql_obs::Span], answers: usize) -> AnnotatedPlan {
     }
 }
 
-fn flatten<'a>(p: &'a Pattern, triples: &mut Vec<TriplePattern>, others: &mut Vec<&'a Pattern>) {
-    match p {
-        Pattern::And(a, b) => {
-            flatten(a, triples, others);
-            flatten(b, triples, others);
-        }
-        Pattern::Triple(t) => triples.push(*t),
-        other => others.push(other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +390,7 @@ mod tests {
         let g = generate::star("hub", "spoke", 10);
         let engine = Engine::new(&g);
         let p = parse_pattern("((hub, spoke, ?x) AND (hub, spoke, ?y))").unwrap();
-        let analyzed = engine.explain_analyze(&p);
+        let analyzed = engine.explain_analyze(&p).expect("narrow pattern");
         assert_eq!(analyzed.answers, 100);
         assert_eq!(analyzed.roots.len(), 1);
         let root = &analyzed.roots[0];
@@ -437,7 +423,7 @@ mod tests {
               ((?x, p2, ?w) MINUS (?w, p3, ?v))) FILTER bound(?x))))",
         )
         .unwrap();
-        let analyzed = engine.explain_analyze(&p);
+        let analyzed = engine.explain_analyze(&p).expect("narrow pattern");
         let text = analyzed.to_string();
         for needle in ["NS", "SELECT", "FILTER", "UNION", "OPT", "MINUS", "SCAN"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -446,6 +432,106 @@ mod tests {
             analyzed.answers as u64,
             analyzed.roots.iter().map(|r| r.rows_out).sum::<u64>()
         );
+    }
+
+    /// EXPLAIN and EXPLAIN ANALYZE share one estimator: every spine
+    /// step's static `estimated_rows` equals the estimate on its `SCAN`
+    /// span — over a plain graph and over a snapshot with adds and
+    /// deletes (where both are the same upper bound).
+    #[test]
+    fn static_and_traced_estimates_agree() {
+        use owql_rdf::{GraphIndex, SnapshotIndex, Triple};
+        use std::collections::HashSet;
+        use std::sync::Arc;
+
+        let mut g = owql_rdf::Graph::new();
+        for i in 0..12 {
+            g.insert(Triple::new("hub", "p0", format!("x{i}").as_str()));
+            if i % 2 == 0 {
+                g.insert(Triple::new(
+                    format!("x{i}").as_str(),
+                    "p1",
+                    format!("y{}", i % 3).as_str(),
+                ));
+            }
+        }
+        for j in 0..3 {
+            for q in ["p2", "p3"] {
+                g.insert(Triple::new(
+                    format!("y{j}").as_str(),
+                    q,
+                    format!("z{j}").as_str(),
+                ));
+            }
+        }
+        let base = GraphIndex::build(&g);
+        let adds = GraphIndex::from_triples_with_dict(
+            [
+                Triple::new("hub", "p0", "new"),
+                Triple::new("new", "p1", "hub"),
+            ],
+            base.dict().clone(),
+        );
+        let dels: HashSet<Triple> = [
+            Triple::new("hub", "p0", "x1"),
+            Triple::new("y0", "p3", "z0"),
+        ]
+        .into_iter()
+        .collect();
+        let snap = SnapshotIndex::new(Arc::new(base), Arc::new(adds), Arc::new(dels));
+        let p = parse_pattern(
+            "(((hub, p0, ?x) AND (?x, p1, ?y)) AND ((?y, ?q, ?z) AND (?z, p2, absent)))",
+        )
+        .unwrap();
+        let spine = parse_pattern("(((hub, p0, ?x) AND (?x, p1, ?y)) AND (?y, ?q, ?z))").unwrap();
+        for (engine_plan, spans) in [
+            (
+                Engine::new(&g).explain(&spine),
+                Engine::new(&g).run(
+                    &spine,
+                    &crate::ExecOpts::seq().traced(),
+                    &owql_exec::Pool::sequential(),
+                ),
+            ),
+            (
+                Engine::for_snapshot(&snap).explain(&spine),
+                Engine::for_snapshot(&snap).run(
+                    &spine,
+                    &crate::ExecOpts::seq().traced(),
+                    &owql_exec::Pool::sequential(),
+                ),
+            ),
+        ] {
+            let spans = spans.expect("runs").profile.expect("traced").spans;
+            let Plan::IndexJoin { steps, .. } = engine_plan else {
+                panic!("expected a spine");
+            };
+            assert_eq!(steps.len(), 3);
+            for step in steps {
+                let Plan::TripleScan {
+                    pattern,
+                    access_path,
+                    estimated_rows,
+                } = step
+                else {
+                    panic!("expected a scan step");
+                };
+                let label = format!("{pattern} via {access_path} (columnar)");
+                let span = spans.iter().find(|s| s.label == label).expect("scan span");
+                assert_eq!(span.estimated_rows, Some(estimated_rows as u64), "{label}");
+            }
+        }
+        // A constant the dictionary never saw estimates to 0 statically.
+        match Engine::new(&g).explain(&p) {
+            Plan::IndexJoin { steps, .. } => assert!(steps.iter().any(|s| matches!(
+                s,
+                Plan::TripleScan {
+                    estimated_rows: 0,
+                    ..
+                }
+            ))),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Scatter-gather evaluation across subject-hash shards.
 //!
-//! [`try_run_sharded`] is the columnar evaluator's distributed sibling:
+//! [`run_sharded`] is the columnar evaluator's distributed sibling:
 //! the caller supplies `N` per-shard [`IdRuns`] (built from the *same*
 //! snapshot the engine is bound to, via [`owql_rdf::shard::shard_rows`])
 //! and one [`Pool`] per shard, and AND/UNION spines evaluate
@@ -34,47 +34,34 @@
 //!
 //! [`IdRuns`]: owql_rdf::IdRuns
 
-use crate::columnar::{Columnar, IdTriple};
-use crate::engine::{spine_parts, Engine};
+use crate::columnar::{frame_for, Columnar, IdTriple};
+use crate::engine::spine_parts;
 use crate::run::{EvalBudget, EvalError};
-use owql_algebra::analysis::pattern_vars;
-use owql_algebra::id_mapping::{IdMapping, IdMappingSet, VarFrame};
+use owql_algebra::id_mapping::{IdMapping, IdMappingSet};
 use owql_algebra::normal_form::union_spine;
 use owql_algebra::{MappingSet, Pattern, TriplePattern};
 use owql_exec::Pool;
 use owql_obs::{Recorder, ShardMetrics, SpanId};
-use owql_rdf::{FxHashSet, IdRuns, IdView, TripleLookup, NO_TERM};
+use owql_rdf::{FxHashSet, IdRuns, IdView};
 use std::sync::atomic::Ordering;
 
-/// Attempts scatter-gather evaluation of `pattern` over `engine`'s
-/// snapshot, using `shard_runs` (disjoint subject-hash partitions of
-/// the snapshot's live rows) and one pool per shard. Returns `None`
-/// when the backend serves no id view or the pattern is out of the
-/// columnar envelope — callers fall back exactly as for
-/// [`crate::Engine::run`]'s columnar path.
-pub fn try_run_sharded<I: TripleLookup + Sync>(
-    engine: &Engine<I>,
+/// Scatter-gather evaluation of `pattern` over `view`, using
+/// `shard_runs` (disjoint subject-hash partitions of the view's live
+/// rows, at least one) and one pool per shard (at least one).
+pub fn run_sharded(
+    view: IdView<'_>,
     pattern: &Pattern,
     shard_runs: &[IdRuns],
     pools: &[Pool],
     rec: &Recorder,
     budget: &EvalBudget,
     metrics: Option<&ShardMetrics>,
-) -> Option<Result<MappingSet, EvalError>> {
-    if shard_runs.is_empty() || pools.is_empty() {
-        return None;
-    }
-    let view = engine.index().id_view()?;
-    let vars = pattern_vars(pattern);
-    if vars.is_empty() {
-        return None;
-    }
-    let frame = VarFrame::new(vars)?;
+) -> Result<MappingSet, EvalError> {
     let coordinator = &pools[0];
     let ctx = Columnar {
         dels: view.del_rows(),
         view,
-        frame,
+        frame: frame_for(pattern)?,
         pool: coordinator,
         parallel: coordinator.threads() > 1,
         rec,
@@ -88,10 +75,8 @@ pub fn try_run_sharded<I: TripleLookup + Sync>(
     if let Some(m) = metrics {
         m.queries_total.fetch_add(1, Ordering::Relaxed);
     }
-    Some(exec.eval(pattern, budget).map(|table| {
-        rec.record_columnar_decode(table.len() as u64, true);
-        table.decode(&exec.ctx.frame, exec.ctx.view.dict)
-    }))
+    let table = exec.eval(pattern, budget)?;
+    Ok(exec.ctx.decode(&table))
 }
 
 /// The coordinator: one global columnar context plus the shard runs
@@ -153,28 +138,14 @@ impl Sharded<'_> {
                         .map(|h| h.join().expect("union scatter worker panicked"))
                         .collect()
                 });
-                let mut out = IdMappingSet::new(self.ctx.width());
-                let mut fanout = 0usize;
-                for part in parts {
-                    let part = part?;
-                    if !part.is_empty() {
-                        fanout += 1;
-                    }
-                    for row in part.rows() {
-                        out.push_row(row);
-                    }
-                }
+                let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
                 if let Some(m) = self.metrics {
-                    m.record_scatter(fanout);
+                    m.record_scatter(parts.iter().filter(|p| !p.is_empty()).count());
                 }
-                out.sort_dedup();
-                Ok(out)
+                Ok(IdMappingSet::union_of(self.ctx.width(), parts))
             }
             Pattern::Select(vars, p) => {
-                let keep: Vec<bool> = (0..self.ctx.width())
-                    .map(|c| vars.contains(&self.ctx.frame.var(c)))
-                    .collect();
-                Ok(self.eval(p, budget)?.project(&keep))
+                Ok(self.eval(p, budget)?.project(&self.ctx.keep_mask(vars)))
             }
             Pattern::Filter(p, r) => {
                 let cond = self.ctx.compile_cond(r);
@@ -222,9 +193,7 @@ impl Sharded<'_> {
             .map(|p| self.eval(p, budget))
             .collect::<Result<_, _>>()?;
         let seed = if sub.is_empty() {
-            let mut s = IdMappingSet::new(w);
-            s.push_row(&vec![NO_TERM; w]);
-            s
+            IdMappingSet::unit(w)
         } else {
             sub.sort_by_key(IdMappingSet::len);
             let mut acc = sub.remove(0);
@@ -275,25 +244,14 @@ impl Sharded<'_> {
                     .collect()
             })
         };
-        let mut out = IdMappingSet::new(w);
-        let mut fanout = 0usize;
-        for (k, part) in parts.into_iter().enumerate() {
-            let part = part?;
-            if let Some(m) = self.metrics {
+        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+        if let Some(m) = self.metrics {
+            for (k, part) in parts.iter().enumerate() {
                 m.record_shard_task(k, part.len() as u64);
             }
-            if !part.is_empty() {
-                fanout += 1;
-            }
-            for row in part.rows() {
-                out.push_row(row);
-            }
+            m.record_scatter(parts.iter().filter(|p| !p.is_empty()).count());
         }
-        if let Some(m) = self.metrics {
-            m.record_scatter(fanout);
-        }
-        out.sort_dedup();
-        Ok(out)
+        Ok(IdMappingSet::union_of(w, parts))
     }
 
     /// One shard's chain: seed-extend against the shard-local runs,
@@ -342,8 +300,9 @@ impl Sharded<'_> {
 mod tests {
     use super::*;
     use crate::run::ExecOpts;
+    use crate::Engine;
     use owql_parser::parse_pattern;
-    use owql_rdf::{shard_rows, GraphIndex, Triple};
+    use owql_rdf::{shard_rows, GraphIndex, Triple, TripleLookup};
 
     fn social() -> GraphIndex {
         let mut triples = Vec::new();
@@ -371,15 +330,11 @@ mod tests {
             .run(&pattern, &opts, &pool)
             .expect("unsharded run")
             .mappings;
-        let view = engine
-            .index()
-            .id_view()
-            .expect("graph index serves an id view");
+        let view = engine.index().id_view();
         let runs = shard_rows(&view, shards);
         let pools: Vec<Pool> = (0..shards).map(|_| Pool::sequential()).collect();
-        let got = try_run_sharded(&engine, &pattern, &runs, &pools, &rec, &budget, None)
-            .expect("columnar-shaped pattern")
-            .expect("sharded run");
+        let got =
+            run_sharded(view, &pattern, &runs, &pools, &rec, &budget, None).expect("sharded run");
         assert_eq!(got, expected, "sharded answers diverge at {shards} shards");
     }
 
@@ -388,6 +343,9 @@ mod tests {
         for shards in [1, 2, 8] {
             answers_match("((?x, knows, ?y) AND (?y, knows, ?z))", shards);
             answers_match("((?x, knows, ?y) AND (?x, age, ?a))", shards);
+            // Ground spines: a zero-width frame, matching and not.
+            answers_match("(p0, knows, p1)", shards);
+            answers_match("((p0, knows, p1) AND (p1, knows, p0))", shards);
         }
     }
 

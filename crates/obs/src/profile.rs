@@ -47,10 +47,6 @@ impl NsObs {
 /// Columnar id-batch engine counters for one traced run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnarObs {
-    /// Columnar-enabled runs forced back to the term-at-a-time engine
-    /// (no id view, empty variable frame, or frame wider than the
-    /// 64-column domain mask).
-    pub fallbacks: u64,
     /// Galloping-scan probes answered by the memoized previous key.
     pub hint_hits: u64,
     /// Galloping-scan probes that needed a fresh hinted binary search.
@@ -260,10 +256,9 @@ impl Profile {
 
         let _ = writeln!(
             out,
-            "  \"columnar\": {{\"fallbacks\": {}, \"hint_hits\": {}, \"hint_misses\": {}, \
+            "  \"columnar\": {{\"hint_hits\": {}, \"hint_misses\": {}, \
              \"hint_hit_rate\": {}, \"decoded_rows\": {}, \"distinct_results\": {}, \
              \"dedup_skips\": {}}},",
-            self.columnar.fallbacks,
             self.columnar.hint_hits,
             self.columnar.hint_misses,
             json::number(self.columnar.hint_hit_rate()),

@@ -28,10 +28,11 @@
 //!
 //! Because the dictionary is sorted, numeric id comparison equals
 //! lexicographic term comparison, and each run is one contiguous
-//! sorted array — every triple-pattern shape the engine asks for
-//! ([`TripleLookup::matching`]) is a binary-searched **contiguous
-//! range** of exactly one run, which is why predicate-bound scans (the
-//! dominant shape in practical SPARQL logs) are sequential reads.
+//! sorted array — every triple-pattern shape is a binary-searched
+//! **contiguous range** of exactly one run, the same layout as the
+//! in-memory `owql_rdf::IdRuns`. A recovering store seeds its term
+//! dictionary from the segment's table ([`Segment::to_graph_index`]),
+//! so the ids it serves are the segment's ranks (plus one).
 //!
 //! Segments are written to a temp file, fsync'd, then renamed into
 //! place (and the directory fsync'd): a crash mid-write leaves a
@@ -39,12 +40,13 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_parent_dir;
-use owql_rdf::{Graph, GraphIndex, Iri, Triple, TripleLookup};
+use owql_rdf::{Graph, GraphIndex, Iri, TermDict, Triple};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First 8 bytes of every segment file.
 pub const MAGIC: &[u8; 8] = b"OWQLSEG1";
@@ -170,18 +172,15 @@ pub fn write_segment(
     Ok(path)
 }
 
-/// A loaded, validated segment: the graph snapshot at its epoch,
-/// queryable in place (it implements [`TripleLookup`], so
-/// `Engine::with_index(segment)` evaluates straight off the sorted
-/// runs with no hash-index build).
+/// A loaded, validated segment: the graph snapshot at its epoch, as
+/// its sorted term table plus its SPO run. (The POS and OSP runs are
+/// validated on load; the in-memory index builds its own.)
 #[derive(Clone, Debug)]
 pub struct Segment {
     generation: u64,
     epoch: u64,
     terms: Vec<Iri>,
     spo: Vec<[u32; 3]>,
-    pos: Vec<[u32; 3]>,
-    osp: Vec<[u32; 3]>,
 }
 
 impl Segment {
@@ -267,16 +266,14 @@ impl Segment {
             Ok(run)
         };
         let spo = read_run(0)?;
-        let pos = read_run(1)?;
-        let osp = read_run(2)?;
+        read_run(1)?;
+        read_run(2)?;
         let generation = parse_generation(path).unwrap_or(0);
         Ok(Segment {
             generation,
             epoch,
             terms,
             spo,
-            pos,
-            osp,
         })
     }
 
@@ -306,17 +303,14 @@ impl Segment {
         &self.terms
     }
 
-    /// Resolves a term to its dictionary id (rank), if present.
-    fn term_id(&self, iri: Iri) -> Option<u32> {
-        self.terms.binary_search(&iri).ok().map(|at| at as u32)
+    /// Number of triples.
+    pub fn len(&self) -> usize {
+        self.spo.len()
     }
 
-    /// The contiguous row range of `run` whose first `key.len()`
-    /// components equal `key`.
-    fn prefix_range(run: &[[u32; 3]], key: &[u32]) -> (usize, usize) {
-        let lo = run.partition_point(|row| row[..key.len()] < *key);
-        let hi = run.partition_point(|row| row[..key.len()] <= *key);
-        (lo, hi)
+    /// `true` iff the snapshot holds no triple.
+    pub fn is_empty(&self) -> bool {
+        self.spo.is_empty()
     }
 
     /// Iterates the triples in SPO order.
@@ -328,107 +322,17 @@ impl Segment {
         })
     }
 
-    /// Materializes the snapshot as a hash-indexed [`GraphIndex`] (the
-    /// store's in-memory base representation).
+    /// Materializes the snapshot as the store's in-memory base index:
+    /// a [`GraphIndex`] whose dictionary is seeded from the segment's
+    /// term table, so every id is the term's rank plus one and the
+    /// re-index interns nothing new.
     pub fn to_graph_index(&self) -> GraphIndex {
-        GraphIndex::from_triples(self.triples())
+        let dict = Arc::new(TermDict::from_sorted_terms(&self.terms));
+        GraphIndex::from_triples_with_dict(self.triples(), dict)
     }
 
-    /// Resolves one run row back to a triple. `order` says which
-    /// permutation the run stores.
-    fn row_triple(&self, row: [u32; 3], order: RunOrder) -> Triple {
-        let [a, b, c] = row;
-        let (s, p, o) = match order {
-            RunOrder::Spo => (a, b, c),
-            RunOrder::Pos => (c, a, b),
-            RunOrder::Osp => (b, c, a),
-        };
-        Triple {
-            s: self.terms[s as usize],
-            p: self.terms[p as usize],
-            o: self.terms[o as usize],
-        }
-    }
-
-    /// Picks the run + prefix key answering a pattern shape, such that
-    /// the matches are exactly one contiguous range. Returns `None`
-    /// when some bound term is not in the dictionary (no matches).
-    fn plan(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Option<(RunOrder, Vec<u32>)> {
-        let sid = match s {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        let pid = match p {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        let oid = match o {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        Some(match (sid, pid, oid) {
-            (Some(s), Some(p), Some(o)) => (RunOrder::Spo, vec![s, p, o]),
-            (Some(s), Some(p), None) => (RunOrder::Spo, vec![s, p]),
-            (Some(s), None, None) => (RunOrder::Spo, vec![s]),
-            (None, Some(p), Some(o)) => (RunOrder::Pos, vec![p, o]),
-            (None, Some(p), None) => (RunOrder::Pos, vec![p]),
-            (Some(s), None, Some(o)) => (RunOrder::Osp, vec![o, s]),
-            (None, None, Some(o)) => (RunOrder::Osp, vec![o]),
-            (None, None, None) => (RunOrder::Spo, Vec::new()),
-        })
-    }
-
-    fn run(&self, order: RunOrder) -> &[[u32; 3]] {
-        match order {
-            RunOrder::Spo => &self.spo,
-            RunOrder::Pos => &self.pos,
-            RunOrder::Osp => &self.osp,
-        }
-    }
-}
-
-/// Which permutation a run stores its rows in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RunOrder {
-    Spo,
-    Pos,
-    Osp,
-}
-
-impl TripleLookup for Segment {
-    fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
-        let Some((order, key)) = self.plan(s, p, o) else {
-            return Vec::new();
-        };
-        let run = self.run(order);
-        let (lo, hi) = Segment::prefix_range(run, &key);
-        run[lo..hi]
-            .iter()
-            .map(|&row| self.row_triple(row, order))
-            .collect()
-    }
-
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        let Some((order, key)) = self.plan(s, p, o) else {
-            return 0;
-        };
-        let (lo, hi) = Segment::prefix_range(self.run(order), &key);
-        hi - lo
-    }
-
-    fn contains(&self, t: &Triple) -> bool {
-        let Some((_, key)) = self.plan(Some(t.s), Some(t.p), Some(t.o)) else {
-            return false;
-        };
-        let key = [key[0], key[1], key[2]];
-        self.spo.binary_search(&key).is_ok()
-    }
-
-    fn len(&self) -> usize {
-        self.spo.len()
-    }
-
-    fn to_graph(&self) -> Graph {
+    /// Materializes the snapshot as a [`Graph`].
+    pub fn to_graph(&self) -> Graph {
         self.triples().collect()
     }
 }
@@ -542,48 +446,42 @@ mod tests {
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.generation(), 3);
         assert_eq!(segment.epoch(), 17);
-        assert_eq!(TripleLookup::len(&segment), triples.len());
+        assert_eq!(segment.len(), triples.len());
         let mut want = triples.clone();
         want.sort();
         assert_eq!(segment.triples().collect::<Vec<_>>(), want);
         assert_eq!(segment.to_graph_index().all(), &want[..]);
     }
 
-    /// The segment answers every pattern shape exactly like a
-    /// from-scratch `GraphIndex` over the same triples — the scan-seam
-    /// parity that lets the engine run straight off the file.
+    /// The index a store recovers from a segment equals a from-scratch
+    /// `GraphIndex` over the same triples, id for id: the dictionary
+    /// seeded from the segment's term table assigns every term its rank
+    /// plus one — exactly what a fresh build assigns — and re-indexing
+    /// interns nothing new.
     #[test]
     fn lookup_parity_with_graph_index() {
+        use owql_rdf::TripleLookup;
         let dir = tmp("parity");
         let triples = sample();
         let path = write_segment(&dir, 1, 1, &triples).expect("write");
         let segment = Segment::load(&path).expect("load");
+        let recovered = segment.to_graph_index();
         let reference = GraphIndex::from_triples(triples.iter().copied());
 
-        let terms: Vec<Option<Iri>> = [None]
-            .into_iter()
-            .chain(["a", "b", "c", "d", "p", "q", "zz"].map(|t| Some(Iri::new(t))))
-            .collect();
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    let mut got = TripleLookup::matching(&segment, s, p, o);
-                    let mut want = reference.matching(s, p, o);
-                    got.sort();
-                    want.sort();
-                    assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
-                    assert_eq!(
-                        TripleLookup::cardinality(&segment, s, p, o),
-                        want.len(),
-                        "cardinality ({s:?}, {p:?}, {o:?})"
-                    );
-                }
-            }
+        assert_eq!(recovered.dict().misses(), 0, "re-index interns nothing");
+        for (rank, &term) in segment.terms().iter().enumerate() {
+            assert_eq!(recovered.dict().lookup(term), Some(rank as u64 + 1));
+            assert_eq!(reference.dict().lookup(term), Some(rank as u64 + 1));
         }
+        assert_eq!(recovered.all(), reference.all());
+        assert_eq!(
+            recovered.id_view().base.spo(),
+            reference.id_view().base.spo()
+        );
         for t in &triples {
-            assert!(TripleLookup::contains(&segment, t));
+            assert!(recovered.contains(t));
         }
-        assert!(!TripleLookup::contains(&segment, &triple("zz", "p", "b")));
+        assert!(!recovered.contains(&triple("zz", "p", "b")));
     }
 
     #[test]
@@ -594,7 +492,7 @@ mod tests {
         triples.reverse();
         let path = write_segment(&dir, 1, 1, &triples).expect("write");
         let segment = Segment::load(&path).expect("load");
-        assert_eq!(TripleLookup::len(&segment), sample().len());
+        assert_eq!(segment.len(), sample().len());
         assert_eq!(
             segment.to_graph(),
             graph_from(&[
@@ -613,9 +511,9 @@ mod tests {
         let dir = tmp("empty");
         let path = write_segment(&dir, 1, 0, &[]).expect("write");
         let segment = Segment::load(&path).expect("load");
-        assert_eq!(TripleLookup::len(&segment), 0);
+        assert!(segment.is_empty());
         assert_eq!(segment.term_count(), 0);
-        assert!(TripleLookup::matching(&segment, None, None, None).is_empty());
+        assert!(segment.to_graph_index().is_empty());
     }
 
     /// Any single flipped bit anywhere in the file is caught by a CRC

@@ -133,6 +133,17 @@ impl TermDict {
         f(&self.inner.read().unwrap().terms)
     }
 
+    /// Encodes `t` as an `[s, p, o]` id row under one read lock.
+    /// Returns `None` if a term is not interned.
+    pub fn encode(&self, t: &Triple) -> Option<[TermId; 3]> {
+        let inner = self.inner.read().unwrap();
+        Some([
+            *inner.ids.get(&t.s)?,
+            *inner.ids.get(&t.p)?,
+            *inner.ids.get(&t.o)?,
+        ])
+    }
+
     /// Encodes each triple of `triples` as an `[s, p, o]` id row under
     /// one read lock. Returns `None` if any term is not interned.
     pub fn encode_all(&self, triples: &[Triple]) -> Option<Vec<[TermId; 3]>> {
@@ -458,9 +469,7 @@ fn partition_from(run: &[[TermId; 3]], from: usize, pred: impl Fn(&[TermId; 3]) 
 /// dictionary plus base runs, optionally overlaid with delta runs
 /// (sharing the *same* dictionary) and a set of deleted base triples.
 ///
-/// Exposed through `TripleLookup::id_view`; `None` there means the
-/// backend cannot serve id scans and the engine must stay on the
-/// term-at-a-time path.
+/// Exposed through `TripleLookup::id_view`, which every backend serves.
 #[derive(Clone, Copy, Debug)]
 pub struct IdView<'a> {
     /// The shared dictionary every id in `base`/`adds` was assigned by.

@@ -1,20 +1,22 @@
-//! Triple-pattern indexes over a graph.
+//! Triple indexes over a graph.
 //!
-//! [`GraphIndex`] materializes the six access paths a triple-pattern scan
-//! can take (by subject, predicate, object, and each pair), so that the
-//! indexed evaluation engine answers a pattern with bound positions in
-//! time proportional to the number of matches rather than to `|G|`.
+//! [`GraphIndex`] keeps a graph's triples sorted (for membership tests
+//! and materialization) together with their id-encoded form: a
+//! [`TermDict`] plus SPO/POS/OSP [`IdRuns`], in which every
+//! triple-pattern shape is one binary-searched contiguous range. The
+//! columnar evaluation engine scans only the id runs.
 //!
 //! Two additions serve the live-update store (`owql-store`):
 //!
-//! * [`TripleLookup`] abstracts the lookup surface the evaluation engine
-//!   needs (`matching` / `cardinality` / `contains`), so the engine runs
-//!   unmodified over any index-shaped backend;
+//! * [`TripleLookup`] abstracts the surface the evaluation engine needs
+//!   (an [`IdView`], membership, size), so the engine runs unmodified
+//!   over a plain index or a store snapshot;
 //! * [`SnapshotIndex`] is a *delta-aware* lookup: an immutable
-//!   `Arc`-shared base [`GraphIndex`] overlaid with a small set of added
-//!   and deleted triples. Lookups merge base hits with the overlay, so a
-//!   mutation costs `O(1)` index work instead of an `O(|G|)` rebuild, and
-//!   many reader threads can hold snapshots while writers proceed.
+//!   `Arc`-shared base [`GraphIndex`] overlaid with a small index of
+//!   added triples and a set of deleted ones. Scans merge base hits with
+//!   the overlay, so a mutation costs `O(1)` index work instead of an
+//!   `O(|G|)` rebuild, and many reader threads can hold snapshots while
+//!   writers proceed.
 //!
 //! The reference evaluator deliberately does *not* use this module — it
 //! scans the graph exactly as the paper's semantics is written — which is
@@ -22,25 +24,19 @@
 
 use crate::dict::{IdRuns, IdView, TermDict};
 use crate::graph::Graph;
-use crate::term::{Iri, Triple};
-use std::collections::{HashMap, HashSet};
+use crate::term::Triple;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The triple-pattern lookup surface the indexed evaluation engine
-/// consumes. `None` in a position means "any value".
+/// The lookup surface the evaluation engine consumes.
 ///
-/// Implementors must answer consistently: `cardinality` equals
-/// `matching(..).len()`, and `contains` agrees with a fully-ground
-/// `matching`. (`SnapshotIndex` and `GraphIndex` are cross-checked by
-/// tests below.)
+/// Implementors must answer consistently: the [`IdView`] covers exactly
+/// the triples `contains` accepts, `len` counts them, and `to_graph`
+/// materializes them.
 pub trait TripleLookup {
-    /// The triples matching a pattern with optionally bound positions.
-    fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple>;
-
-    /// Number of matches for the pattern (exact for both implementations
-    /// in this crate; the join-order optimizer uses it as a cardinality
-    /// estimate).
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize;
+    /// The id-encoded scan surface: a term dictionary plus sorted id
+    /// runs covering exactly the triples visible through this lookup.
+    fn id_view(&self) -> IdView<'_>;
 
     /// Membership test for a fully ground triple.
     fn contains(&self, t: &Triple) -> bool;
@@ -54,45 +50,19 @@ pub trait TripleLookup {
     }
 
     /// Materializes the visible triples as a [`Graph`].
-    fn to_graph(&self) -> Graph {
-        self.matching(None, None, None).into_iter().collect()
-    }
-
-    /// The id-encoded scan surface, if this backend can serve one
-    /// (a term dictionary plus sorted id runs covering exactly the
-    /// triples visible through this lookup). `None` keeps the engine on
-    /// the term-at-a-time path.
-    fn id_view(&self) -> Option<IdView<'_>> {
-        None
-    }
+    fn to_graph(&self) -> Graph;
 }
 
-/// The dictionary + sorted-run state a [`GraphIndex`] optionally carries
-/// to serve id scans.
-#[derive(Clone, Debug)]
-struct IdState {
-    dict: Arc<TermDict>,
-    runs: IdRuns,
-}
-
-/// A fully materialized secondary index over a [`Graph`].
+/// A fully materialized index over a [`Graph`]: the sorted triples plus
+/// their id runs, encoded with a dictionary that may be shared with
+/// other indexes (the store shares one across base and delta).
 ///
-/// Construction is `O(|G|)`; each lookup returns a slice of matching
-/// triples. The index holds copies of the (12-byte) triples, trading
-/// memory for pointer-chasing-free scans.
-#[derive(Clone, Debug, Default)]
+/// Construction is `O(|G| log |G|)`.
+#[derive(Clone, Debug)]
 pub struct GraphIndex {
     all: Vec<Triple>,
-    by_s: HashMap<Iri, Vec<Triple>>,
-    by_p: HashMap<Iri, Vec<Triple>>,
-    by_o: HashMap<Iri, Vec<Triple>>,
-    by_sp: HashMap<(Iri, Iri), Vec<Triple>>,
-    by_po: HashMap<(Iri, Iri), Vec<Triple>>,
-    by_so: HashMap<(Iri, Iri), Vec<Triple>>,
-    /// Id-encoded twin of `all`: dictionary + SPO/POS/OSP sorted runs.
-    /// Bulk constructors always attach it; [`GraphIndex::default`] does
-    /// not (attach one with [`GraphIndex::with_dict`]).
-    ids: Option<IdState>,
+    dict: Arc<TermDict>,
+    runs: IdRuns,
 }
 
 impl GraphIndex {
@@ -118,107 +88,58 @@ impl GraphIndex {
         dict: Arc<TermDict>,
     ) -> Self {
         let mut all: Vec<Triple> = triples.into_iter().collect();
-        all.sort();
+        all.sort_unstable();
         all.dedup();
-        let mut idx = GraphIndex {
-            all: Vec::with_capacity(all.len()),
-            ..GraphIndex::default()
-        };
-        for t in all {
-            idx.all.push(t);
-            idx.index_entry(t);
+        let runs = IdRuns::build(&all, &dict);
+        GraphIndex { all, dict, runs }
+    }
+
+    /// An empty index whose future inserts intern into `dict`.
+    pub fn empty(dict: Arc<TermDict>) -> Self {
+        GraphIndex {
+            all: Vec::new(),
+            dict,
+            runs: IdRuns::default(),
         }
-        let runs = IdRuns::build(&idx.all, &dict);
-        idx.ids = Some(IdState { dict, runs });
-        idx
     }
 
-    /// Replaces this index's id state with one keyed by `dict`
-    /// (re-encoding every triple). Used by `owql-store` to re-home an
-    /// index built elsewhere (e.g. a compaction fold or a recovered
-    /// segment) onto the store-wide dictionary.
-    pub fn with_dict(mut self, dict: Arc<TermDict>) -> Self {
-        let runs = IdRuns::build(&self.all, &dict);
-        self.ids = Some(IdState { dict, runs });
-        self
-    }
-
-    /// The dictionary this index's id runs are encoded with, if id
-    /// state is attached.
-    pub fn dict(&self) -> Option<&Arc<TermDict>> {
-        self.ids.as_ref().map(|s| &s.dict)
-    }
-
-    /// The id-encoded sorted runs, if id state is attached.
-    pub fn id_runs(&self) -> Option<&IdRuns> {
-        self.ids.as_ref().map(|s| &s.runs)
-    }
-
-    fn index_entry(&mut self, t: Triple) {
-        self.by_s.entry(t.s).or_default().push(t);
-        self.by_p.entry(t.p).or_default().push(t);
-        self.by_o.entry(t.o).or_default().push(t);
-        self.by_sp.entry((t.s, t.p)).or_default().push(t);
-        self.by_po.entry((t.p, t.o)).or_default().push(t);
-        self.by_so.entry((t.s, t.o)).or_default().push(t);
+    /// The dictionary this index's id runs are encoded with.
+    pub fn dict(&self) -> &Arc<TermDict> {
+        &self.dict
     }
 
     /// Incrementally indexes one triple; returns `true` if it was new.
     ///
-    /// Cost is `O(log n)` to keep `all` sorted plus the `O(n)` vector
-    /// shift — intended for the *small* delta-overlay indexes maintained
-    /// by `owql-store`, where `n` is bounded by the compaction threshold,
-    /// not for bulk loads (use [`GraphIndex::build`]).
+    /// Cost is `O(log n)` to find the slot plus the `O(n)` vector
+    /// shifts — intended for the *small* delta-overlay indexes
+    /// maintained by `owql-store`, where `n` is bounded by the
+    /// compaction threshold, not for bulk loads (use
+    /// [`GraphIndex::build`]).
     pub fn insert(&mut self, t: Triple) -> bool {
         match self.all.binary_search(&t) {
             Ok(_) => false,
             Err(pos) => {
                 self.all.insert(pos, t);
-                self.index_entry(t);
-                if let Some(ids) = &mut self.ids {
-                    let row = [
-                        ids.dict.intern(t.s),
-                        ids.dict.intern(t.p),
-                        ids.dict.intern(t.o),
-                    ];
-                    ids.runs.insert(row);
-                }
+                let d = &self.dict;
+                self.runs
+                    .insert([d.intern(t.s), d.intern(t.p), d.intern(t.o)]);
                 true
             }
         }
     }
 
-    /// Removes one triple from every access path; returns `true` if it
-    /// was present. Same cost profile as [`GraphIndex::insert`].
+    /// Removes one triple; returns `true` if it was present. Same cost
+    /// profile as [`GraphIndex::insert`].
     pub fn remove(&mut self, t: &Triple) -> bool {
         match self.all.binary_search(t) {
             Err(_) => false,
             Ok(pos) => {
                 self.all.remove(pos);
-                fn unindex<K: std::hash::Hash + Eq>(
-                    map: &mut HashMap<K, Vec<Triple>>,
-                    key: K,
-                    t: &Triple,
-                ) {
-                    if let Some(v) = map.get_mut(&key) {
-                        v.retain(|x| x != t);
-                        if v.is_empty() {
-                            map.remove(&key);
-                        }
-                    }
-                }
-                unindex(&mut self.by_s, t.s, t);
-                unindex(&mut self.by_p, t.p, t);
-                unindex(&mut self.by_o, t.o, t);
-                unindex(&mut self.by_sp, (t.s, t.p), t);
-                unindex(&mut self.by_po, (t.p, t.o), t);
-                unindex(&mut self.by_so, (t.s, t.o), t);
-                if let Some(ids) = &mut self.ids {
-                    // A present triple's terms are always interned.
-                    if let Some(rows) = ids.dict.encode_all(std::slice::from_ref(t)) {
-                        ids.runs.remove(rows[0]);
-                    }
-                }
+                let row = self
+                    .dict
+                    .encode(t)
+                    .expect("a present triple's terms are interned");
+                self.runs.remove(row);
                 true
             }
         }
@@ -239,70 +160,19 @@ impl GraphIndex {
         &self.all
     }
 
-    /// Membership test for a fully ground triple.
+    /// Membership test for a fully ground triple: a binary search of
+    /// the id-encoded SPO run (word compares, where the sorted triples
+    /// would compare term strings).
     pub fn contains(&self, t: &Triple) -> bool {
-        self.by_sp
-            .get(&(t.s, t.p))
-            .is_some_and(|v| v.iter().any(|x| x.o == t.o))
-    }
-
-    /// Returns the triples matching a pattern with optionally bound
-    /// positions. `None` means "any value".
-    ///
-    /// ```
-    /// use owql_rdf::{Graph, GraphIndex, Iri, Triple};
-    /// let g: Graph = [Triple::new("a", "p", "b"), Triple::new("a", "q", "c")]
-    ///     .into_iter().collect();
-    /// let idx = GraphIndex::build(&g);
-    /// assert_eq!(idx.matching(Some(Iri::new("a")), None, None).len(), 2);
-    /// assert_eq!(idx.matching(None, Some(Iri::new("q")), None).len(), 1);
-    /// ```
-    pub fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
-        static EMPTY: Vec<Triple> = Vec::new();
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                let t = Triple { s, p, o };
-                if self.contains(&t) {
-                    vec![t]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), Some(p), None) => self.by_sp.get(&(s, p)).unwrap_or(&EMPTY).clone(),
-            (None, Some(p), Some(o)) => self.by_po.get(&(p, o)).unwrap_or(&EMPTY).clone(),
-            (Some(s), None, Some(o)) => self.by_so.get(&(s, o)).unwrap_or(&EMPTY).clone(),
-            (Some(s), None, None) => self.by_s.get(&s).unwrap_or(&EMPTY).clone(),
-            (None, Some(p), None) => self.by_p.get(&p).unwrap_or(&EMPTY).clone(),
-            (None, None, Some(o)) => self.by_o.get(&o).unwrap_or(&EMPTY).clone(),
-            (None, None, None) => self.all.clone(),
-        }
-    }
-
-    /// Estimated number of matches for a pattern (exact for this
-    /// implementation; used by the join-order optimizer as a cardinality
-    /// estimate).
-    pub fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        static EMPTY: Vec<Triple> = Vec::new();
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.contains(&Triple { s, p, o })),
-            (Some(s), Some(p), None) => self.by_sp.get(&(s, p)).unwrap_or(&EMPTY).len(),
-            (None, Some(p), Some(o)) => self.by_po.get(&(p, o)).unwrap_or(&EMPTY).len(),
-            (Some(s), None, Some(o)) => self.by_so.get(&(s, o)).unwrap_or(&EMPTY).len(),
-            (Some(s), None, None) => self.by_s.get(&s).unwrap_or(&EMPTY).len(),
-            (None, Some(p), None) => self.by_p.get(&p).unwrap_or(&EMPTY).len(),
-            (None, None, Some(o)) => self.by_o.get(&o).unwrap_or(&EMPTY).len(),
-            (None, None, None) => self.all.len(),
-        }
+        self.dict
+            .encode(t)
+            .is_some_and(|row| self.runs.contains(row))
     }
 }
 
 impl TripleLookup for GraphIndex {
-    fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
-        GraphIndex::matching(self, s, p, o)
-    }
-
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        GraphIndex::cardinality(self, s, p, o)
+    fn id_view(&self) -> IdView<'_> {
+        IdView::plain(&self.dict, &self.runs)
     }
 
     fn contains(&self, t: &Triple) -> bool {
@@ -313,8 +183,8 @@ impl TripleLookup for GraphIndex {
         GraphIndex::len(self)
     }
 
-    fn id_view(&self) -> Option<IdView<'_>> {
-        self.ids.as_ref().map(|s| IdView::plain(&s.dict, &s.runs))
+    fn to_graph(&self) -> Graph {
+        self.all.iter().copied().collect()
     }
 }
 
@@ -324,12 +194,14 @@ impl TripleLookup for GraphIndex {
 ///
 /// A `SnapshotIndex` is immutable and cheap to clone (three `Arc`
 /// clones), so a writer can keep mutating its store while any number of
-/// reader threads evaluate against earlier snapshots. Lookups merge
-/// base hits (minus `dels`) with `adds` hits; both sides are index
-/// lookups, so cost stays proportional to the number of matches.
+/// reader threads evaluate against earlier snapshots. Scans merge base
+/// hits (minus `dels`) with `adds` hits; both sides are id-run ranges,
+/// so cost stays proportional to the number of matches.
 ///
-/// Invariants (maintained by `owql-store`, debug-asserted here):
-/// `adds ∩ base = ∅`, `dels ⊆ base`, and therefore `adds ∩ dels = ∅`.
+/// Invariants: `base` and `adds` are encoded with the *same* dictionary
+/// (checked by [`SnapshotIndex::new`], so the merged [`IdView`] always
+/// exists), `adds ∩ base = ∅`, `dels ⊆ base`, and therefore
+/// `adds ∩ dels = ∅` (maintained by `owql-store`, debug-asserted here).
 #[derive(Clone, Debug)]
 pub struct SnapshotIndex {
     base: Arc<GraphIndex>,
@@ -339,7 +211,16 @@ pub struct SnapshotIndex {
 
 impl SnapshotIndex {
     /// Wraps a base index and its overlay.
+    ///
+    /// # Panics
+    ///
+    /// If `base` and `adds` are encoded with different dictionaries:
+    /// their ids would not be comparable.
     pub fn new(base: Arc<GraphIndex>, adds: Arc<GraphIndex>, dels: Arc<HashSet<Triple>>) -> Self {
+        assert!(
+            Arc::ptr_eq(&base.dict, &adds.dict),
+            "base and adds must share one dictionary"
+        );
         debug_assert!(
             adds.all().iter().all(|t| !base.contains(t)),
             "adds must be disjoint from the base"
@@ -353,9 +234,11 @@ impl SnapshotIndex {
 
     /// A snapshot of a plain graph with an empty overlay.
     pub fn from_graph(graph: &Graph) -> Self {
+        let base = GraphIndex::build(graph);
+        let adds = GraphIndex::empty(base.dict.clone());
         SnapshotIndex {
-            base: Arc::new(GraphIndex::build(graph)),
-            adds: Arc::new(GraphIndex::default()),
+            base: Arc::new(base),
+            adds: Arc::new(adds),
             dels: Arc::new(HashSet::new()),
         }
     }
@@ -370,48 +253,33 @@ impl SnapshotIndex {
         self.adds.len() + self.dels.len()
     }
 
-    /// Folds the overlay into a fresh base index (the compaction step of
-    /// `owql-store`): base triples minus `dels`, plus `adds`.
+    /// Folds the overlay into a fresh base index on the same dictionary
+    /// (the compaction step of `owql-store`): base triples minus `dels`,
+    /// plus `adds`. Ids are append-only, so every surviving triple keeps
+    /// the ids it already had.
     pub fn compacted(&self) -> GraphIndex {
-        GraphIndex::from_triples(
-            self.base
-                .all()
-                .iter()
-                .filter(|t| !self.dels.contains(t))
-                .chain(self.adds.all().iter())
-                .copied(),
-        )
+        GraphIndex::from_triples_with_dict(self.visible(), self.base.dict.clone())
     }
 
-    /// Number of deleted triples a pattern lookup must mask out.
-    fn dels_matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        if self.dels.is_empty() {
-            return 0;
-        }
-        self.dels
+    /// The visible triples: base minus `dels`, then `adds`.
+    fn visible(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.base
+            .all()
             .iter()
-            .filter(|t| {
-                s.is_none_or(|s| t.s == s)
-                    && p.is_none_or(|p| t.p == p)
-                    && o.is_none_or(|o| t.o == o)
-            })
-            .count()
+            .filter(|t| !self.dels.contains(t))
+            .chain(self.adds.all())
+            .copied()
     }
 }
 
 impl TripleLookup for SnapshotIndex {
-    fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
-        let mut out = self.base.matching(s, p, o);
-        if !self.dels.is_empty() {
-            out.retain(|t| !self.dels.contains(t));
+    fn id_view(&self) -> IdView<'_> {
+        IdView {
+            dict: &self.base.dict,
+            base: &self.base.runs,
+            adds: (!self.adds.is_empty()).then_some(&self.adds.runs),
+            dels: (!self.dels.is_empty()).then_some(&self.dels),
         }
-        out.extend(self.adds.matching(s, p, o));
-        out
-    }
-
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        self.base.cardinality(s, p, o) - self.dels_matching(s, p, o)
-            + self.adds.cardinality(s, p, o)
     }
 
     fn contains(&self, t: &Triple) -> bool {
@@ -422,30 +290,17 @@ impl TripleLookup for SnapshotIndex {
         self.base.len() - self.dels.len() + self.adds.len()
     }
 
-    /// A merged id view exists only when base and overlay carry id
-    /// state encoded by the *same* dictionary (the invariant
-    /// `owql-store` maintains); otherwise the ids of the two run sets
-    /// are not comparable and the engine must stay on the term path.
-    fn id_view(&self) -> Option<IdView<'_>> {
-        let base = self.base.ids.as_ref()?;
-        let adds = self.adds.ids.as_ref()?;
-        if !Arc::ptr_eq(&base.dict, &adds.dict) {
-            return None;
-        }
-        Some(IdView {
-            dict: &base.dict,
-            base: &base.runs,
-            adds: (!adds.runs.is_empty()).then_some(&adds.runs),
-            dels: (!self.dels.is_empty()).then_some(&self.dels),
-        })
+    fn to_graph(&self) -> Graph {
+        self.visible().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::TermId;
     use crate::graph::graph_from;
-    use crate::term::triple;
+    use crate::term::{triple, Iri};
 
     fn idx() -> GraphIndex {
         GraphIndex::build(&graph_from(&[
@@ -456,40 +311,67 @@ mod tests {
         ]))
     }
 
+    /// The id key of a term-level pattern; `None` if some constant was
+    /// never interned (the pattern then matches nothing).
+    type Key = [Option<TermId>; 3];
+    fn key(view: &IdView<'_>, terms: [Option<&str>; 3]) -> Option<Key> {
+        let mut key = [None; 3];
+        for (slot, term) in key.iter_mut().zip(terms) {
+            if let Some(term) = term {
+                *slot = Some(view.dict.lookup(Iri::new(term))?);
+            }
+        }
+        Some(key)
+    }
+
+    /// The triples a term-level pattern matches, scanned through the id
+    /// view (base runs minus deletions, plus added runs) and decoded.
+    fn scan(l: &impl TripleLookup, terms: [Option<&str>; 3]) -> Vec<Triple> {
+        let view = l.id_view();
+        let Some([s, p, o]) = key(&view, terms) else {
+            return Vec::new();
+        };
+        let decode = |row: [TermId; 3]| {
+            let [s, p, o] = row.map(|id| view.dict.resolve(id).expect("assigned id"));
+            Triple { s, p, o }
+        };
+        let mut out = Vec::new();
+        for runs in std::iter::once(view.base).chain(view.adds) {
+            let (rows, order) = runs.scan(s, p, o);
+            out.extend(
+                rows.iter()
+                    .map(|&r| decode(order.to_spo(r)))
+                    .filter(|t| view.dels.is_none_or(|d| !d.contains(t))),
+            );
+        }
+        out.sort();
+        out
+    }
+
+    const PROBES: [Option<&str>; 5] = [None, Some("a"), Some("p"), Some("b"), Some("zz")];
+
     #[test]
     fn full_scan() {
         let i = idx();
         assert_eq!(i.len(), 4);
-        assert_eq!(i.matching(None, None, None).len(), 4);
+        assert_eq!(scan(&i, [None, None, None]), i.all());
     }
 
     #[test]
     fn single_position_lookups() {
         let i = idx();
-        assert_eq!(i.matching(Some(Iri::new("a")), None, None).len(), 3);
-        assert_eq!(i.matching(None, Some(Iri::new("p")), None).len(), 3);
-        assert_eq!(i.matching(None, None, Some(Iri::new("b"))).len(), 3);
-        assert_eq!(i.matching(Some(Iri::new("zz")), None, None).len(), 0);
+        assert_eq!(scan(&i, [Some("a"), None, None]).len(), 3);
+        assert_eq!(scan(&i, [None, Some("p"), None]).len(), 3);
+        assert_eq!(scan(&i, [None, None, Some("b")]).len(), 3);
+        assert_eq!(scan(&i, [Some("zz"), None, None]).len(), 0);
     }
 
     #[test]
     fn pair_lookups() {
         let i = idx();
-        assert_eq!(
-            i.matching(Some(Iri::new("a")), Some(Iri::new("p")), None)
-                .len(),
-            2
-        );
-        assert_eq!(
-            i.matching(None, Some(Iri::new("p")), Some(Iri::new("b")))
-                .len(),
-            2
-        );
-        assert_eq!(
-            i.matching(Some(Iri::new("a")), None, Some(Iri::new("b")))
-                .len(),
-            2
-        );
+        assert_eq!(scan(&i, [Some("a"), Some("p"), None]).len(), 2);
+        assert_eq!(scan(&i, [None, Some("p"), Some("b")]).len(), 2);
+        assert_eq!(scan(&i, [Some("a"), None, Some("b")]).len(), 2);
     }
 
     #[test]
@@ -498,28 +380,24 @@ mod tests {
         assert!(i.contains(&triple("a", "p", "b")));
         assert!(!i.contains(&triple("a", "p", "zz")));
         assert_eq!(
-            i.matching(
-                Some(Iri::new("a")),
-                Some(Iri::new("p")),
-                Some(Iri::new("b"))
-            ),
+            scan(&i, [Some("a"), Some("p"), Some("b")]),
             vec![triple("a", "p", "b")]
         );
     }
 
+    /// The planner's estimate (the run cardinality of the constant key)
+    /// is exact on an index without deletions.
     #[test]
     fn cardinality_matches_matching_len() {
         let i = idx();
-        let terms = [
-            None,
-            Some(Iri::new("a")),
-            Some(Iri::new("p")),
-            Some(Iri::new("b")),
-        ];
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    assert_eq!(i.cardinality(s, p, o), i.matching(s, p, o).len());
+        let view = i.id_view();
+        for s in PROBES {
+            for p in PROBES {
+                for o in PROBES {
+                    let want = scan(&i, [s, p, o]).len();
+                    let got = key(&view, [s, p, o])
+                        .map_or(0, |[s, p, o]| view.cardinality_upper(s, p, o));
+                    assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
                 }
             }
         }
@@ -529,14 +407,15 @@ mod tests {
     fn empty_graph_index() {
         let i = GraphIndex::build(&Graph::new());
         assert!(i.is_empty());
-        assert_eq!(i.matching(None, None, None).len(), 0);
+        assert!(scan(&i, [None, None, None]).is_empty());
+        assert!(i.to_graph().is_empty());
     }
 
     /// Incremental insert/remove reaches exactly the state a fresh
     /// build would produce, across every access path.
     #[test]
     fn incremental_matches_rebuild() {
-        let mut incremental = GraphIndex::default();
+        let mut incremental = GraphIndex::empty(Arc::new(TermDict::new()));
         let mut graph = Graph::new();
         let steps = [
             ("a", "p", "b", true),
@@ -555,43 +434,40 @@ mod tests {
 
         let rebuilt = GraphIndex::build(&graph);
         assert_eq!(incremental.all(), rebuilt.all());
-        let terms = [
-            None,
-            Some(Iri::new("a")),
-            Some(Iri::new("p")),
-            Some(Iri::new("b")),
-        ];
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    let mut got = incremental.matching(s, p, o);
-                    let mut want = rebuilt.matching(s, p, o);
-                    got.sort();
-                    want.sort();
-                    assert_eq!(got, want);
-                    assert_eq!(incremental.cardinality(s, p, o), want.len());
+        for s in PROBES {
+            for p in PROBES {
+                for o in PROBES {
+                    assert_eq!(scan(&incremental, [s, p, o]), scan(&rebuilt, [s, p, o]));
                 }
             }
         }
     }
 
-    /// Removing a triple fully cleans its access-path entries (no empty
-    /// buckets linger to distort cardinalities).
+    /// Removing a triple fully cleans its id runs (no stale rows linger
+    /// to distort cardinalities).
     #[test]
     fn remove_cleans_all_paths() {
-        let mut idx = GraphIndex::default();
+        let mut idx = GraphIndex::empty(Arc::new(TermDict::new()));
         idx.insert(triple("a", "p", "b"));
         idx.remove(&triple("a", "p", "b"));
         assert!(idx.is_empty());
-        assert_eq!(idx.cardinality(Some(Iri::new("a")), None, None), 0);
-        assert_eq!(idx.matching(None, Some(Iri::new("p")), None).len(), 0);
+        assert!(idx.id_view().base.is_empty());
+        assert!(scan(&idx, [None, Some("p"), None]).is_empty());
     }
 
     mod snapshot_overlay {
         use super::*;
-        use crate::index::{SnapshotIndex, TripleLookup};
-        use std::collections::HashSet;
-        use std::sync::Arc;
+
+        /// A base plus an overlay on the base's dictionary.
+        fn overlay(base: &Graph, adds: &[Triple], dels: &[Triple]) -> SnapshotIndex {
+            let base = GraphIndex::build(base);
+            let adds = GraphIndex::from_triples_with_dict(adds.iter().copied(), base.dict.clone());
+            SnapshotIndex::new(
+                Arc::new(base),
+                Arc::new(adds),
+                Arc::new(dels.iter().copied().collect()),
+            )
+        }
 
         /// An overlay with adds and dels answers every pattern exactly
         /// like a from-scratch index over the net graph.
@@ -600,12 +476,7 @@ mod tests {
             let base = graph_from(&[("a", "p", "b"), ("a", "p", "c"), ("d", "q", "b")]);
             let adds = [triple("e", "p", "b"), triple("a", "q", "c")];
             let dels = [triple("a", "p", "c")];
-
-            let snap = SnapshotIndex::new(
-                Arc::new(GraphIndex::build(&base)),
-                Arc::new(GraphIndex::from_triples(adds)),
-                Arc::new(dels.iter().copied().collect::<HashSet<_>>()),
-            );
+            let snap = overlay(&base, &adds, &dels);
 
             let mut net = base.clone();
             for t in adds {
@@ -620,25 +491,20 @@ mod tests {
             assert_eq!(snap.to_graph(), net);
             let terms = [
                 None,
-                Some(Iri::new("a")),
-                Some(Iri::new("p")),
-                Some(Iri::new("q")),
-                Some(Iri::new("b")),
-                Some(Iri::new("c")),
-                Some(Iri::new("e")),
+                Some("a"),
+                Some("p"),
+                Some("q"),
+                Some("b"),
+                Some("c"),
+                Some("e"),
             ];
-            for &s in &terms {
-                for &p in &terms {
-                    for &o in &terms {
-                        let mut got = TripleLookup::matching(&snap, s, p, o);
-                        let mut want = fresh.matching(s, p, o);
-                        got.sort();
-                        want.sort();
-                        assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
+            for s in terms {
+                for p in terms {
+                    for o in terms {
                         assert_eq!(
-                            TripleLookup::cardinality(&snap, s, p, o),
-                            want.len(),
-                            "cardinality ({s:?}, {p:?}, {o:?})"
+                            scan(&snap, [s, p, o]),
+                            scan(&fresh, [s, p, o]),
+                            "pattern ({s:?}, {p:?}, {o:?})"
                         );
                     }
                 }
@@ -650,18 +516,15 @@ mod tests {
         }
 
         /// Compaction folds the overlay into a fresh base equal to a
-        /// from-scratch build.
+        /// from-scratch build, keeping the shared dictionary.
         #[test]
         fn compacted_folds_overlay() {
             let base = graph_from(&[("a", "p", "b"), ("x", "y", "z")]);
-            let snap = SnapshotIndex::new(
-                Arc::new(GraphIndex::build(&base)),
-                Arc::new(GraphIndex::from_triples([triple("n", "n", "n")])),
-                Arc::new([triple("x", "y", "z")].into_iter().collect::<HashSet<_>>()),
-            );
+            let snap = overlay(&base, &[triple("n", "n", "n")], &[triple("x", "y", "z")]);
             let compacted = snap.compacted();
             assert_eq!(compacted.all(), GraphIndex::build(&snap.to_graph()).all());
             assert_eq!(compacted.len(), 2);
+            assert!(Arc::ptr_eq(compacted.dict(), snap.base().dict()));
         }
 
         /// An empty overlay is transparent.
@@ -672,6 +535,17 @@ mod tests {
             assert_eq!(snap.delta_len(), 0);
             assert_eq!(TripleLookup::len(&snap), 1);
             assert_eq!(snap.to_graph(), g);
+        }
+
+        /// Indexes over different dictionaries cannot form a snapshot.
+        #[test]
+        #[should_panic(expected = "share one dictionary")]
+        fn mixed_dictionaries_are_rejected() {
+            SnapshotIndex::new(
+                Arc::new(GraphIndex::from_triples([triple("a", "p", "b")])),
+                Arc::new(GraphIndex::from_triples([triple("c", "p", "d")])),
+                Arc::new(HashSet::new()),
+            );
         }
     }
 }

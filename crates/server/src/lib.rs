@@ -17,10 +17,11 @@
 //! | `GET /metrics` | — | Prometheus text (or `?format=json`) |
 //!
 //! `"opts"` keys: `mode` (`"seq"`/`"parallel"`), `trace`, `cache`,
-//! `optimize`, `columnar` (booleans), `deadline_ms`, `slow_ms`
-//! (integers), `max_class` (complexity-class name, tighten-only).
-//! Errors answer a unified envelope
-//! `{"error": {"code", "message", "span"?, "retry_after"?}}`.
+//! `optimize` (booleans), `deadline_ms`, `slow_ms` (integers),
+//! `max_class` (complexity-class name, tighten-only). Errors answer a
+//! unified envelope `{"error": {"code", "message", "span"?,
+//! "retry_after"?}}`; a pattern over more than 64 variables is a `422`
+//! `too_many_variables`.
 //!
 //! The original query-string endpoints (`POST /query?...` with a bare
 //! pattern body, `/explain`, `/lint`, `GET /healthz`) remain as thin

@@ -42,7 +42,10 @@ fn main() {
     let snapshot = store.snapshot();
     println!("EXPLAIN (static, estimated):");
     println!("{}", snapshot.engine().explain(&p));
-    println!("{}", snapshot.explain_analyze(&p));
+    let analyzed = snapshot
+        .explain_analyze(&p)
+        .expect("five variables fit a frame");
+    println!("{analyzed}");
 
     // ------------------------------------------------------------------
     // 3. The unified profile: run once through the cache to give the

@@ -11,7 +11,7 @@
 # Stages:
 #   check         fmt + clippy + release build + tests
 #   determinism   width-1 vs width-8 full-suite output diff
-#   differential  evaluator suites with the columnar path forced off and on
+#   differential  evaluator suites against the reference at widths 1, 2, 8
 #   lint-smoke    analyzer over the clean + golden pattern corpora
 #   bench-smoke   quick bench drivers + perf gate + profile schema
 #   server-smoke  HTTP boot, live /v1 smoke, load_gen perf gate, removed-API sweep
@@ -51,16 +51,14 @@ stage_determinism() {
 }
 
 stage_differential() {
-  step "differential: evaluator suites with OWQL_COLUMNAR=0 and OWQL_COLUMNAR=1"
-  # The columnar flag flips the *default* execution path; the suites
-  # below pin it per-run too, so both sweeps exercise both engines and
-  # every store/parallel configuration against the reference answers.
-  for mode in 0 1; do
-    echo "--- OWQL_COLUMNAR=$mode"
-    OWQL_COLUMNAR=$mode cargo test -q -p owql \
-      --test integration_columnar --test integration_store --test integration_parallel
-  done
-  OWQL_COLUMNAR=1 cargo test -q -p owql-rdf --test proptest_dict
+  step "differential: evaluator suites against the reference evaluator"
+  # One engine answers every query; these suites hold it to the
+  # paper-literal reference at pool widths 1, 2 and 8 (the determinism
+  # stage separately diffs OWQL_THREADS=1 against OWQL_THREADS=8).
+  cargo test -q -p owql \
+    --test integration_columnar --test integration_store --test integration_parallel \
+    --test integration_prune --test integration_obs
+  cargo test -q -p owql-rdf --test proptest_dict
   echo "differential OK"
 }
 

@@ -712,3 +712,70 @@ fn inline_mode_serves_pipelined_queries_without_workers() {
     // Shutdown drains without a worker pool to join.
     server.shutdown();
 }
+
+/// Regression: an answer whose first row is the empty mapping — a
+/// ground pattern's `{µ∅}` — used to panic the serializer and kill the
+/// worker, so after `workers` such requests the server stopped
+/// answering. Now every such request answers 200 with `{}` and the
+/// server keeps serving; a pattern too wide for the engine answers a
+/// 422 envelope instead of panicking.
+#[test]
+fn ground_pattern_answers_keep_workers_alive() {
+    let store = seeded_store(4);
+    let workers = 2;
+    let server = Server::start(
+        store,
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+
+    for i in 0..3 * workers {
+        let (status, _, body) = send(
+            addr,
+            "POST",
+            "/v1/query",
+            &format!(
+                r#"{{"pattern": "(s{0}, p, o{0})", "opts": {{"cache": false}}}}"#,
+                i % 4
+            ),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(json_u64(&body, "count"), 1, "{body}");
+        assert!(body.contains("[{}]"), "{body}");
+        // A ground triple inside an OPT, and one that does not match.
+        let (status, body) = query(addr, "/query?cache=0", "((s0, p, o0) OPT (?x, q, ?y))");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(json_u64(&body, "count"), 1, "{body}");
+        let (status, body) = query(addr, "/query?cache=0", "(s0, p, nowhere)");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(json_u64(&body, "count"), 0, "{body}");
+    }
+
+    // A 64-step path binds 65 variables.
+    let wide = (1..65)
+        .map(|i| format!("(?v{}, p, ?v{i})", i - 1))
+        .reduce(|a, b| format!("({a} AND {b})"))
+        .expect("non-empty");
+    for endpoint in ["/v1/query", "/v1/explain"] {
+        let (status, _, body) = send(
+            addr,
+            "POST",
+            endpoint,
+            &format!(r#"{{"pattern": "{wide}", "opts": {{"cache": false}}}}"#),
+        );
+        assert_eq!(status, 422, "{endpoint}: {body}");
+        assert!(body.contains("\"code\": \"too_many_variables\""), "{body}");
+    }
+    let (status, body) = query(addr, "/query?cache=0", &wide);
+    assert_eq!(status, 422, "{body}");
+
+    let (status, _, body) = send(addr, "POST", "/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), 4);
+
+    server.shutdown();
+}

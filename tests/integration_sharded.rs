@@ -74,13 +74,10 @@ fn churned_store(seed: u64, n_ops: usize) -> Store {
     store
 }
 
-/// The request every differential case runs: parallel, columnar,
-/// uncached — the envelope the scatter-gather path engages on.
+/// The request every differential case runs: parallel and uncached —
+/// the envelope the scatter-gather path engages on.
 fn parallel_request(p: &Pattern) -> QueryRequest {
-    QueryRequest::with_opts(
-        p.clone(),
-        ExecOpts::parallel().with_columnar(true).uncached(),
-    )
+    QueryRequest::with_opts(p.clone(), ExecOpts::parallel().uncached())
 }
 
 proptest! {
@@ -89,8 +86,8 @@ proptest! {
     /// Acceptance criterion: for random NS-SPARQL+MINUS patterns over
     /// churned snapshots, `Store::query_request` with sharding enabled
     /// at 1, 2, and 8 shards answers exactly like the unsharded
-    /// columnar engine on the same snapshot. Patterns outside the
-    /// sharded envelope fall back — and must *still* agree.
+    /// columnar engine on the same snapshot — ground patterns
+    /// included.
     #[test]
     fn sharded_matches_unsharded_on_churned_snapshots(
         store_seed in 0..1000u64,
@@ -153,8 +150,7 @@ proptest! {
     }
 }
 
-/// The sharded path actually engages for AND/UNION spines (this is not
-/// a fallback test): the store's shard metrics count the queries and
+/// The sharded path actually engages for AND/UNION spines: the store's shard metrics count the queries and
 /// scatter rounds, and per-shard task counters show real fan-out.
 #[test]
 fn spine_queries_take_the_scatter_gather_path() {
@@ -195,10 +191,7 @@ fn spine_queries_take_the_scatter_gather_path() {
 
     // Sequential-mode requests keep the single-node path even with
     // sharding enabled.
-    let seq = QueryRequest::with_opts(
-        patterns[0].clone(),
-        ExecOpts::seq().with_columnar(true).uncached(),
-    );
+    let seq = QueryRequest::with_opts(patterns[0].clone(), ExecOpts::seq().uncached());
     store
         .query_request(&seq, &pool)
         .expect("unlimited budget cannot time out");
@@ -218,14 +211,14 @@ fn shard_partitions_are_cached_per_epoch() {
     store.enable_sharding(2, 1);
     let rt = store.shard_runtime().expect("sharding enabled");
     let snap = store.snapshot();
-    let runs1 = rt.runs_for(&snap).expect("spo runs shard cleanly");
-    let runs2 = rt.runs_for(&snap).expect("cached partition");
+    let runs1 = rt.runs_for(&snap);
+    let runs2 = rt.runs_for(&snap);
     assert!(
         std::sync::Arc::ptr_eq(&runs1, &runs2),
         "same epoch must reuse the cached partition"
     );
     store.insert(Triple::new("fresh", "p", "fresh"));
-    let runs3 = rt.runs_for(&store.snapshot()).expect("rebuilt partition");
+    let runs3 = rt.runs_for(&store.snapshot());
     assert!(
         !std::sync::Arc::ptr_eq(&runs1, &runs3),
         "a commit must invalidate the cached partition"
